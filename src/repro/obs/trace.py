@@ -164,14 +164,32 @@ class Tracer:
         """Open a span named ``name`` nested under the current span."""
         if not self.enabled:
             return NULL_SPAN
+        return Span(self, name, *self._child(name), dict(attrs))
+
+    def record_span(self, name: str, started: float, seconds: float,
+                    **attrs: Any) -> None:
+        """Append an already-finished span as a child of the current span.
+
+        ``started`` is the :func:`time.perf_counter` reading at the work's
+        start and ``seconds`` its duration.  This is how work timed on
+        other threads (a scatter pool's per-shard calls) enters the trace:
+        those threads cannot open live spans, because the span stack is
+        shared by the tracer's users.
+        """
+        if not self.enabled:
+            return
+        path, depth = self._child(name)
+        self.records.append(SpanRecord(
+            name=name, path=path, start=started - self._epoch,
+            seconds=seconds, depth=depth, attrs=dict(attrs),
+        ))
+
+    def _child(self, name: str) -> tuple[str, int]:
+        """``(path, depth)`` of a span named ``name`` under the current one."""
         if self._stack:
             parent = self._stack[-1]
-            path = f"{parent.path}/{name}"
-            depth = parent.depth + 1
-        else:
-            path = name
-            depth = 0
-        return Span(self, name, path, depth, dict(attrs))
+            return f"{parent.path}/{name}", parent.depth + 1
+        return name, 0
 
     def _ensure_tracemalloc(self) -> None:
         if not tracemalloc.is_tracing():

@@ -12,9 +12,11 @@ under sustained load, and an optional LRU result cache.
 Every serving frontend implements the same :class:`SearchClient`
 protocol and returns :class:`SearchResult`, so they interchange freely:
 
-* :class:`KNNServer` - one :class:`~repro.apps.search.GraphSearchIndex`,
-  one process, the full batching/backpressure envelope;
-* :class:`ClusterClient` - the dataset partitioned across ``S`` index
+* :class:`KNNServer` - the one serving envelope (batching, backpressure,
+  deadlines, shedding, epoch-keyed cache) over one engine, by default a
+  :class:`~repro.apps.search.GraphSearchIndex`;
+* :class:`ClusterClient` - :class:`KNNServer` over a
+  :class:`ShardedEngine`: the dataset partitioned across ``S`` index
   shards with ``R`` replica workers each, health-aware scatter-gather
   routing and a packed-key merge (see :mod:`repro.serve.cluster`);
 * :class:`DirectClient` - a thin synchronous adapter over a bare index,
@@ -58,6 +60,7 @@ from repro.serve.cluster import (
     CLUSTER_METRICS_PREFIX,
     ClusterClient,
     ClusterConfig,
+    ShardedEngine,
     ShardRouter,
     merge_topk,
 )
@@ -97,6 +100,7 @@ __all__ = [
     "SERVE_METRICS_PREFIX",
     "ClusterClient",
     "ClusterConfig",
+    "ShardedEngine",
     "ShardRouter",
     "merge_topk",
     "CLUSTER_METRICS_PREFIX",

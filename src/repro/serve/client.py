@@ -82,6 +82,20 @@ class SearchResult:
         return self.from_cache
 
 
+def engine_view(index: Any) -> Any:
+    """The engine to run one call (a search, a micro-batch) against.
+
+    A mutable index's ``snapshot`` attribute is its current epoch-stamped
+    view: pinning it for the whole call answers every query from one graph
+    version, the one whose ``epoch`` is reported.  Static indexes (and
+    ``DynamicKNNG``, whose ``snapshot`` is a method) are their own view.
+    """
+    view = getattr(index, "snapshot", None)
+    if view is None or callable(view):
+        return index
+    return view
+
+
 @runtime_checkable
 class SearchClient(Protocol):
     """What every serving front-end implements (see the module docstring).
@@ -173,12 +187,7 @@ class DirectClient:
         k = self._default_k if k is None else check_positive_int(k, "k")
         ef = self._ef if ef is None else check_positive_int(ef, "ef")
         t0 = time.monotonic()
-        # pin one view for the call: against a mutable index this is the
-        # epoch-stamped snapshot, so the reported epoch is exactly the
-        # graph version that produced the answer
-        engine = getattr(self.index, "snapshot", None)
-        if engine is None or callable(engine):
-            engine = self.index
+        engine = engine_view(self.index)
         ids, dists = engine.search(q[None, :], k, ef=ef)
         latency_ms = (time.monotonic() - t0) * 1000.0
         self._queries += 1

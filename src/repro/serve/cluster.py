@@ -33,14 +33,16 @@ while ``"scaled"`` sends ``~ef/S`` so total beam work stays roughly
 constant as shards are added, which is what makes QPS scale with ``S``
 (beam-search cost is ~linear in ``ef`` and only weakly dependent on n).
 
-:class:`ClusterClient` fronts the router with the same serving envelope as
-:class:`KNNServer` - bounded admission, micro-batching, two-phase
-deadlines, ``ef``-shedding, optional result cache - and implements the
-:class:`~repro.serve.client.SearchClient` protocol, so a cluster drops in
-anywhere a single server did.  ``cluster/*`` metrics, ``CLUSTER_*`` /
-``REPLICA_*`` hook events and ``cluster_batch -> shard-i -> merge`` trace
-spans make a query traceable end to end (worker-side engine counters ride
-back on each RPC reply and land as span attributes).
+Scatter plus merge is the only part of serving that differs from one
+index, so :class:`ShardedEngine` puts it behind the engine surface and
+:class:`ClusterClient` is :class:`~repro.serve.server.KNNServer` over a
+``ShardedEngine`` - the one serving envelope (admission, micro-batching,
+deadlines, shedding, epoch-keyed cache) - plus the replicas and router.
+Serving counters and the latency histogram emit under ``serve/*`` as for
+any server; the router, replicas and engine add ``cluster/*`` counters,
+``CLUSTER_*`` / ``REPLICA_*`` events and ``cluster_batch -> shard-i ->
+merge`` trace spans, each ``shard-i`` lasting as long as its shard call
+took and carrying the worker's engine counters.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -61,24 +63,13 @@ from repro.core.sharding import shard_partition
 from repro.errors import (
     ClusterError,
     ConfigurationError,
-    DeadlineExceeded,
     ReplicaUnavailable,
-    ServerClosed,
-    ServerOverloaded,
     ShardUnavailable,
 )
 from repro.obs import Events, Observability
-from repro.serve.cache import ResultCache
-from repro.serve.client import SearchResult
-from repro.serve.degrade import DegradationController
-from repro.serve.queue import AdmissionQueue
-from repro.serve.scheduler import MicroBatcher, Request, resolve
-from repro.serve.server import ServeConfig
+from repro.serve.server import KNNServer, ServeConfig
 from repro.utils.parallel import fork_available
-from repro.utils.validation import (
-    check_positive_int,
-    check_query_vector,
-)
+from repro.utils.validation import check_positive_int
 
 #: registry namespace the cluster metrics emit under
 CLUSTER_METRICS_PREFIX = "cluster/"
@@ -660,6 +651,13 @@ class ShardRouter:
     def _call_shard(
         self, group: ReplicaGroup, qmat: np.ndarray, k: int, ef: int
     ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
+        """One shard's answer, failing over across its replicas.
+
+        The reply's info carries ``started`` (a :func:`time.perf_counter`
+        reading) and ``seconds``: the wall time of the whole shard call,
+        failovers included - what its trace span reports.
+        """
+        started = time.perf_counter()
         tried: list[Any] = []
         while True:
             replica = group.pick(exclude=tried)
@@ -701,7 +699,8 @@ class ShardRouter:
             _, gids, dists, info = reply
             info = dict(info)
             info.update(shard=group.shard_id, replica=replica.name,
-                        rpc_ms=ms)
+                        rpc_ms=ms, started=started,
+                        seconds=time.perf_counter() - started)
             return gids, dists, info
 
     # -- the health monitor ----------------------------------------------------
@@ -756,11 +755,71 @@ class ShardRouter:
         }
 
 
-# -- the cluster-facing client --------------------------------------------------
+# -- the sharded engine and the cluster-facing client ---------------------------
 
 
-class ClusterClient:
-    """:class:`~repro.serve.client.SearchClient` over a sharded cluster.
+class ShardedEngine:
+    """The engine surface a server reads (``search``, ``dim``, ``n``,
+    ``config.ef``, ``n_shards``) over every shard of a cluster.
+
+    :meth:`search` scatters one batch through :attr:`router` and reduces
+    the per-shard top-k with :func:`merge_topk`.  ``router.scatter`` is
+    looked up on every call, so replacing it on the router instance (a
+    timing probe) takes effect on a running client.
+    """
+
+    def __init__(self, router: ShardRouter, *, dim: int, n: int, config: Any,
+                 obs: Observability | None = None) -> None:
+        self.router = router
+        self.dim = int(dim)
+        self.n = int(n)
+        self.n_shards = len(router.groups)
+        #: the shards' search configuration (its ``ef`` is the default)
+        self.config = config
+        self.obs = obs or Observability.disabled()
+        self._lock = threading.Lock()
+        #: calls failed by a shard error (no live replica, engine error)
+        self.shard_errors = 0
+
+    def search(self, queries: np.ndarray, k: int, *,
+               ef: int) -> tuple[np.ndarray, np.ndarray]:
+        """Global top-``k`` of every shard's beam search at ``ef``.
+
+        Raises :class:`~repro.errors.ShardUnavailable` when a shard has no
+        live replica: a partial merge would silently drop that shard's
+        points, so the whole call fails instead.
+        """
+        shard_ef = self.router.config.shard_ef(ef, k)
+        n_shards, tracer, hooks = self.n_shards, self.obs.trace, self.obs.hooks
+        hooks.emit(Events.CLUSTER_BATCH_BEFORE, batch=len(queries), k=k,
+                   ef=ef, shard_ef=shard_ef, shards=n_shards)
+        t0 = time.monotonic()
+        try:
+            with tracer.span("cluster_batch", batch=len(queries), k=k, ef=ef,
+                             shard_ef=shard_ef, shards=n_shards) as sp:
+                parts = self.router.scatter(queries, k, shard_ef)
+                # worker-side engine counters rode back on each RPC reply
+                for *_, info in parts:
+                    tracer.record_span(f"shard-{info['shard']}", **info)
+                with tracer.span("merge", shards=n_shards, k=k):
+                    ids, dists = merge_topk([(g, d) for g, d, _ in parts], k)
+                sp.set(expansions=sum(
+                    info.get("expansions", 0) for *_, info in parts))
+        except ClusterError:
+            with self._lock:
+                self.shard_errors += 1
+                self.obs.metrics.counter(
+                    CLUSTER_METRICS_PREFIX + "shard_errors").inc()
+            raise
+        hooks.emit(Events.CLUSTER_BATCH_AFTER, batch=len(queries), k=k,
+                   ef=ef, shard_ef=shard_ef,
+                   seconds=time.monotonic() - t0,
+                   shard_ms=[round(info["rpc_ms"], 3) for *_, info in parts])
+        return ids, dists
+
+
+class ClusterClient(KNNServer):
+    """:class:`~repro.serve.server.KNNServer` over a :class:`ShardedEngine`.
 
     Usage::
 
@@ -769,13 +828,11 @@ class ClusterClient:
                                                       n_replicas=2)) as client:
             res = client.query(query_vector, k=10)   # SearchResult
 
-    The serving envelope (admission queue, micro-batcher, two-phase
-    deadlines, shedding, result cache) is the same as
-    :class:`~repro.serve.server.KNNServer`'s; execution scatter-gathers
-    each micro-batch across the shards through the :class:`ShardRouter`
-    and reduces per-shard top-k with :func:`merge_topk`.  With the
-    ``"full"`` shard-ef policy and exhaustive beams the results are
-    bitwise identical to a flat index over the same points.
+    Adds the topology to the server: replica and router construction and
+    lifecycle, the replica-kill drill and router health in :meth:`stats`.
+    :attr:`config` is the :class:`ClusterConfig`; the envelope runs on its
+    ``serve`` section.  With the ``"full"`` shard-ef policy and exhaustive
+    beams the results are bitwise identical to a flat index.
     """
 
     def __init__(
@@ -814,18 +871,15 @@ class ClusterClient:
         if len(dims) != 1:
             raise ConfigurationError(f"shard dims disagree: {sorted(dims)}")
 
-        self.config = config or ClusterConfig(n_shards=len(shard_indexes))
-        if self.config.n_shards != len(shard_indexes):
+        config = config or ClusterConfig(n_shards=len(shard_indexes))
+        if config.n_shards != len(shard_indexes):
             raise ConfigurationError(
-                f"config.n_shards={self.config.n_shards} but "
+                f"config.n_shards={config.n_shards} but "
                 f"{len(shard_indexes)} shard indexes were supplied"
             )
-        self.obs = obs
         self.ranges = [(int(lo), int(hi)) for lo, hi in ranges]
-        self._dim = shard_indexes[0].dim
-        self._n = expect
 
-        backend = self.config.resolved_backend()
+        backend = config.resolved_backend()
         if backend == "process" and not fork_available():
             raise ConfigurationError(
                 "backend='process' needs the fork start method; "
@@ -837,38 +891,19 @@ class ClusterClient:
         for sid, (index, (lo, _hi)) in enumerate(zip(shard_indexes, ranges)):
             replicas = [
                 replica_cls(sid, rid, index, lo)
-                for rid in range(self.config.n_replicas)
+                for rid in range(config.n_replicas)
             ]
             groups.append(ReplicaGroup(
                 sid, replicas,
-                ewma_alpha=self.config.ewma_alpha,
-                readmit_after_s=self.config.readmit_after_s,
+                ewma_alpha=config.ewma_alpha,
+                readmit_after_s=config.readmit_after_s,
             ))
-        self.router = ShardRouter(groups, self.config, obs=obs)
-
-        serve = self.config.serve
-        base_ef = serve.ef
-        if base_ef is None:
-            base_ef = int(getattr(shard_indexes[0].config, "ef", 32))
-        self._base_ef = base_ef
-        self.cache: ResultCache | None = (
-            ResultCache(serve.cache.size, serve.cache.decimals)
-            if serve.cache.size > 0 else None
-        )
-        self.degradation = DegradationController(serve.shed)
-        self._queue: AdmissionQueue | None = None
-        self._batcher: MicroBatcher | None = None
-        self._accepting = False
-        self._lock = threading.Lock()
-        self.counters: dict[str, int] = {
-            "submitted": 0, "accepted": 0, "completed": 0, "rejected": 0,
-            "timeout_queued": 0, "timeout_late": 0, "cache_hits": 0,
-            "shed_served": 0, "batches": 0, "cancelled": 0,
-            "shard_errors": 0,
-        }
-        self._latencies_ok: list[float] = []
-
-    # -- construction ----------------------------------------------------------
+        self.router = ShardRouter(groups, config, obs=obs)
+        engine = ShardedEngine(self.router, dim=shard_indexes[0].dim,
+                               n=expect, config=shard_indexes[0].config,
+                               obs=obs)
+        super().__init__(engine, config.serve, obs=obs)
+        self.config = config
 
     @classmethod
     def build(
@@ -901,346 +936,45 @@ class ClusterClient:
         ]
         return cls(indexes, ranges, cfg, obs=obs)
 
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._accepting
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
     @property
     def n(self) -> int:
         """Total points across all shards."""
-        return self._n
+        return self.index.n
 
     @property
     def n_shards(self) -> int:
-        return len(self.router.groups)
-
-    @property
-    def default_ef(self) -> int:
-        return self._base_ef
+        return self.index.n_shards
 
     def start(self) -> "ClusterClient":
-        if self._accepting:
-            raise ConfigurationError("cluster client already started")
-        adm = self.config.serve.admission
-        self._queue = AdmissionQueue(adm.queue_limit)
-        self._batcher = MicroBatcher(
-            self._queue, self._execute,
-            max_batch=adm.max_batch, max_wait_s=adm.max_wait_ms / 1000.0,
-            n_workers=adm.n_workers,
-        )
-        self._batcher.start()
+        super().start()
         self.router.start()
-        self._accepting = True
         self._emit(Events.CLUSTER_START, shards=self.n_shards,
                    replicas=self.config.n_replicas, backend=self.backend,
-                   ef=self._base_ef,
+                   ef=self.default_ef,
                    shard_ef_policy=self.config.shard_ef_policy)
         return self
 
     def stop(self, drain: bool = True, timeout: float | None = None) -> None:
-        """Stop accepting and shut batcher, router and replicas down."""
-        if self._queue is None:
-            return
-        self._accepting = False
-        queue, batcher = self._queue, self._batcher
-        if not drain:
-            dropped = queue.drain()
-            MicroBatcher.fail_all(
-                dropped, ServerClosed("cluster stopped before execution")
-            )
-            self._count("cancelled", len(dropped))
-        queue.close()
-        if batcher is not None:
-            batcher.stop(timeout=timeout)
-        self._queue = None
-        self._batcher = None
+        """Stop serving (see :meth:`KNNServer.stop`), then shut the router
+        and its replicas down - also those of a never-started client."""
+        running = self.running
+        super().stop(drain, timeout)
         self.router.close()
-        self._emit(Events.CLUSTER_STOP, **self.counters)
-
-    def close(self) -> None:
-        """SearchClient protocol: graceful drain + full teardown."""
-        if self._accepting:
-            self.stop()
-        else:
-            self.router.close()
-
-    def __enter__(self) -> "ClusterClient":
-        if not self._accepting:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- chaos / test hooks ----------------------------------------------------
+        if running:
+            self._emit(Events.CLUSTER_STOP, **self.counters)
 
     def kill_replica(self, shard_id: int, replica_id: int) -> None:
         """Hard-kill one replica worker (the replica-outage drill)."""
         self.router.groups[shard_id].replicas[replica_id].kill()
 
-    # -- client API ------------------------------------------------------------
-
-    def submit(
-        self,
-        query: np.ndarray,
-        k: int | None = None,
-        *,
-        ef: int | None = None,
-        deadline_ms: float | None = None,
-    ) -> Future:
-        """Submit one query vector; future resolves to a SearchResult.
-
-        Identical admission semantics to
-        :meth:`repro.serve.server.KNNServer.submit`:
-        :class:`~repro.errors.ServerOverloaded` is raised synchronously,
-        deadline/closed failures arrive through the future.
-        """
-        queue = self._queue
-        if not self._accepting or queue is None:
-            raise ServerClosed("submit() on a stopped cluster client")
-        serve = self.config.serve
-        q = check_query_vector(query, self._dim, "query")
-        k = serve.default_k if k is None else check_positive_int(k, "k")
-        ef = self._base_ef if ef is None else check_positive_int(ef, "ef")
-        if deadline_ms is None:
-            deadline_ms = serve.deadline.default_ms
-        now = time.monotonic()
-        deadline = None if deadline_ms is None else now + deadline_ms / 1000.0
-
-        self._count("submitted")
-        req = Request(query=q, k=k, ef=ef, deadline=deadline, submitted=now)
-        if self.cache is not None:
-            req.cache_key = self.cache.key(q, k, ef)
-            hit = self.cache.get(req.cache_key)
-            if hit is not None:
-                ids, dists, served_ef = hit
-                self._count("cache_hits")
-                self._count("completed")
-                self._emit(Events.SERVE_CACHE_HIT, k=k, ef=ef)
-                self._observe_latency(time.monotonic() - now)
-                resolve(req.future, SearchResult(
-                    ids=ids.copy(), dists=dists.copy(), served_ef=served_ef,
-                    from_cache=True, shard_fanout=self.n_shards, batch_size=0,
-                    latency_ms=(time.monotonic() - now) * 1000.0,
-                ))
-                return req.future
-
-        if not queue.offer(req):
-            depth = queue.depth()
-            self._count("rejected")
-            self._emit(Events.SERVE_REQUEST_REJECTED, queue_depth=depth,
-                       limit=serve.admission.queue_limit)
-            raise ServerOverloaded(
-                f"admission queue full ({depth}/"
-                f"{serve.admission.queue_limit} pending); retry with backoff",
-                queue_depth=depth,
-            )
-        self._count("accepted")
-        self._gauge("queue_depth", queue.depth())
-        return req.future
-
-    def query(
-        self,
-        query: np.ndarray,
-        k: int | None = None,
-        *,
-        ef: int | None = None,
-        deadline_ms: float | None = None,
-        timeout: float | None = None,
-    ) -> SearchResult:
-        """Blocking convenience wrapper: ``submit(...).result()``."""
-        return self.submit(query, k, ef=ef, deadline_ms=deadline_ms) \
-            .result(timeout=timeout)
-
-    # -- batch execution -------------------------------------------------------
-
-    def _execute(self, batch: list[Request]) -> None:
-        now = time.monotonic()
-        queue = self._queue
-        depth = queue.depth() if queue is not None else 0
-
-        live: list[Request] = []
-        expired = 0
-        for req in batch:
-            if req.expired(now):
-                expired += 1
-                req.future.set_exception(DeadlineExceeded(
-                    f"deadline expired while queued "
-                    f"({(now - req.submitted) * 1000.0:.1f}ms in queue)"
-                ))
-            else:
-                live.append(req)
-        if expired:
-            self._count("timeout_queued", expired)
-            self._emit(Events.SERVE_REQUEST_TIMEOUT, phase="queued",
-                       count=expired)
-        if not live:
-            return
-
-        old_level = self.degradation.level
-        level = self.degradation.observe(
-            depth, self.config.serve.admission.queue_limit)
-        if level != old_level:
-            self._gauge("shed_level", level)
-            self._emit(Events.SERVE_SHED_CHANGE, old_level=old_level,
-                       new_level=level, queue_depth=depth)
-
-        groups: dict[tuple[int, int], list[Request]] = {}
-        for req in live:
-            groups.setdefault((req.k, req.ef), []).append(req)
-        for (k, ef), reqs in groups.items():
-            self._run_group(k, ef, reqs, depth)
-
-    def _run_group(self, k: int, ef: int, reqs: list[Request],
-                   depth: int) -> None:
-        served_ef = self.degradation.effective_ef(ef)
-        shed = served_ef < ef
-        shard_ef = self.config.shard_ef(served_ef, k)
-        qmat = np.stack([r.query for r in reqs], axis=0)
-        self._emit(Events.CLUSTER_BATCH_BEFORE, batch=len(reqs), k=k,
-                   ef=served_ef, shard_ef=shard_ef, shed=shed,
-                   queue_depth=depth, shards=self.n_shards)
-        t0 = time.monotonic()
-        for req in reqs:
-            self._observe_hist("queue_wait_seconds", t0 - req.submitted)
-
-        tracer = self.obs.trace if self.obs is not None else None
-        try:
-            if tracer is not None:
-                with tracer.span("cluster_batch", batch=len(reqs), k=k,
-                                 ef=served_ef, shard_ef=shard_ef,
-                                 shards=self.n_shards) as sp:
-                    parts = self.router.scatter(qmat, k, shard_ef)
-                    # one child span per shard, carrying the worker-side
-                    # engine counters that rode back on the RPC reply
-                    for _gids, _dists, info in parts:
-                        with tracer.span(f"shard-{info['shard']}", **info):
-                            pass
-                    with tracer.span("merge", shards=self.n_shards, k=k):
-                        ids, dists = merge_topk(
-                            [(g, d) for g, d, _ in parts], k)
-                    sp.set(expansions=sum(
-                        info.get("expansions", 0) for _, _, info in parts))
-            else:
-                parts = self.router.scatter(qmat, k, shard_ef)
-                ids, dists = merge_topk([(g, d) for g, d, _ in parts], k)
-        except ClusterError as exc:
-            # a whole shard is gone: fail this group (capacity degraded,
-            # never a partial/incorrect merge), keep serving other groups
-            self._count("shard_errors")
-            MicroBatcher.fail_all(reqs, exc)
-            return
-        seconds = time.monotonic() - t0
-        self._count("batches")
-        if shed:
-            self._count("shed_served", len(reqs))
-        self._observe_hist("batch_seconds", seconds)
-        self._observe_hist("batch_size", len(reqs))
-        self._emit(Events.CLUSTER_BATCH_AFTER, batch=len(reqs), k=k,
-                   ef=served_ef, shard_ef=shard_ef, shed=shed,
-                   seconds=seconds,
-                   shard_ms=[round(info.get("rpc_ms", 0.0), 3)
-                             for _, _, info in parts])
-
-        now = time.monotonic()
-        late = 0
-        for i, req in enumerate(reqs):
-            if req.expired(now):
-                late += 1
-                req.future.set_exception(DeadlineExceeded(
-                    f"execution finished "
-                    f"{(now - req.deadline) * 1000.0:.1f}ms past the deadline"
-                ))
-                continue
-            if self.cache is not None and req.cache_key is not None \
-                    and not shed:
-                self.cache.put(req.cache_key, (ids[i], dists[i], served_ef))
-            latency = now - req.submitted
-            self._observe_latency(latency)
-            self._count("completed")
-            resolve(req.future, SearchResult(
-                ids=ids[i], dists=dists[i], served_ef=served_ef,
-                from_cache=False, shard_fanout=self.n_shards,
-                latency_ms=latency * 1000.0, batch_size=len(reqs),
-            ))
-        if late:
-            self._count("timeout_late", late)
-            self._emit(Events.SERVE_REQUEST_TIMEOUT, phase="late", count=late)
-
-    # -- observability ---------------------------------------------------------
-
-    def _count(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self.counters[name] += n
-            if self.obs is not None:
-                self.obs.metrics.counter(
-                    CLUSTER_METRICS_PREFIX + name).inc(n)
-
-    def _emit(self, event: str, **payload: Any) -> None:
-        if self.obs is not None:
-            self.obs.hooks.emit(event, **payload)
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.obs is not None:
-            with self._lock:
-                self.obs.metrics.gauge(
-                    CLUSTER_METRICS_PREFIX + name).set(value)
-
-    def _observe_hist(self, name: str, value: float) -> None:
-        if self.obs is not None:
-            with self._lock:
-                self.obs.metrics.histogram(
-                    CLUSTER_METRICS_PREFIX + name).observe(value)
-
-    def _observe_latency(self, seconds: float) -> None:
-        with self._lock:
-            self._latencies_ok.append(seconds)
-            if len(self._latencies_ok) > 100_000:
-                del self._latencies_ok[: len(self._latencies_ok) // 2]
-        if self.obs is not None:
-            with self._lock:
-                self.obs.metrics.quantile_histogram(
-                    CLUSTER_METRICS_PREFIX + "latency_seconds"
-                ).observe(seconds)
-
-    def latency_percentiles(self) -> dict[str, float]:
-        """p50/p95/p99 (milliseconds) of successful responses so far."""
-        with self._lock:
-            lat = sorted(self._latencies_ok)
-        if not lat:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-        def pct(p: float) -> float:
-            idx = min(len(lat) - 1, int(round(p * (len(lat) - 1))))
-            return lat[idx] * 1000.0
-
-        return {"p50": pct(0.50), "p95": pct(0.95), "p99": pct(0.99)}
-
     def stats(self) -> dict[str, Any]:
-        """Serving counters + queue state + router/replica health."""
-        queue = self._queue
-        with self._lock:
-            counters = dict(self.counters)
-        out: dict[str, Any] = {
+        """The server's stats plus topology and router/replica health."""
+        return {
+            **super().stats(),
             "engine": "cluster-client",
             "n_shards": self.n_shards,
             "n_replicas": self.config.n_replicas,
             "backend": self.backend,
-            **counters,
-            "timeouts": counters["timeout_queued"] + counters["timeout_late"],
-            "queue_depth": queue.depth() if queue is not None else 0,
-            "queue_limit": self.config.serve.admission.queue_limit,
-            "shed_level": self.degradation.level,
-            "shed_transitions": self.degradation.transitions,
-            "latency_ms": self.latency_percentiles(),
+            "shard_errors": self.index.shard_errors,
             "router": self.router.stats(),
         }
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
-        return out

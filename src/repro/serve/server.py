@@ -4,9 +4,8 @@
 call - into an online service shape: many client threads each submit one
 ``(query_vector, k, ef, deadline)`` request and get a future back; the
 server coalesces concurrent requests into micro-batches, executes them on
-the underlying :class:`~repro.apps.search.GraphSearchIndex`, and resolves
-each future individually.  Around that core sit the production envelope
-pieces:
+the underlying engine, and resolves each future individually.  Around
+that core sit the production envelope pieces:
 
 * **admission control** - a bounded queue; past ``admission.queue_limit``,
   :meth:`KNNServer.submit` raises :class:`~repro.errors.ServerOverloaded`
@@ -18,21 +17,26 @@ pieces:
 * **graceful degradation** - sustained queue growth sheds the beam width
   ``ef`` (see :mod:`repro.serve.degrade`), trading a little recall for a
   lot of latency, mirroring the build-time strategy crossover;
-* **result caching** - an optional LRU keyed on quantized query bytes
-  (:mod:`repro.serve.cache`); hits resolve at submit time without ever
-  touching the engine.
+* **result caching** - an optional LRU keyed on quantized query bytes and
+  the index epoch (:mod:`repro.serve.cache`); hits resolve at submit time
+  without ever touching the engine;
+* **failure isolation** - an engine error fails only the ``(k, ef)``
+  group whose call raised, never the rest of its micro-batch.
+
+This is the package's one serving envelope: the sharded
+:class:`~repro.serve.cluster.ClusterClient` is this server over a
+:class:`~repro.serve.cluster.ShardedEngine`.
 
 Configuration is the frozen, sectioned :class:`ServeConfig`
 (:class:`AdmissionPolicy` / :class:`DeadlinePolicy` / :class:`CachePolicy`
 / :class:`~repro.serve.degrade.ShedPolicy`); the historical flat keyword
 surface still constructs for one release with a ``DeprecationWarning``.
 The server implements the :class:`~repro.serve.client.SearchClient`
-protocol, so callers written against the protocol can swap it for the
-sharded :class:`~repro.serve.cluster.ClusterClient` unchanged.
+protocol.
 
 Everything is observable: ``serve/*`` metrics (counters, queue-depth and
 shed-level gauges, p50/p95/p99 latency quantile histograms) and
-``SERVE_*`` profiling hook events.
+``SERVE_*`` profiling hook events, for a cluster too.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from repro.errors import (
 )
 from repro.obs import Events, Observability
 from repro.serve.cache import ResultCache
-from repro.serve.client import SearchResult
+from repro.serve.client import SearchResult, engine_view
 from repro.serve.degrade import DegradationController, ShedPolicy
 from repro.serve.queue import AdmissionQueue
 from repro.serve.scheduler import MicroBatcher, Request, resolve
@@ -367,8 +371,9 @@ class KNNServer:
 
     The index must expose ``search(queries, k, *, ef=None)`` over a fixed
     dimensionality ``dim`` - :class:`~repro.apps.search.GraphSearchIndex`
-    is the intended engine.  One server instance is safe to submit to
-    from any number of threads, and implements the
+    is the intended engine (an engine's ``n_shards``, if any, is reported
+    as each result's ``shard_fanout``).  One server instance is safe to
+    submit to from any number of threads, and implements the
     :class:`~repro.serve.client.SearchClient` protocol.
     """
 
@@ -389,19 +394,21 @@ class KNNServer:
             # ServeConfig emits the DeprecationWarning for the flat names
             config = ServeConfig(**flat)
         self.index = index
-        self.config = config or ServeConfig()
+        # the envelope reads ``_serve``: a subclass may widen ``config``
+        self.config = self._serve = config or ServeConfig()
         self.obs = obs
         self._dim = int(index.dim)
-        base_ef = self.config.ef
+        self._fanout = int(getattr(index, "n_shards", 1))
+        base_ef = self._serve.ef
         if base_ef is None:
             base_ef = int(getattr(getattr(index, "config", None), "ef", 32))
         self._base_ef = base_ef
-        cache_cfg = self.config.cache
+        cache_cfg = self._serve.cache
         self.cache: ResultCache | None = (
             ResultCache(cache_cfg.size, cache_cfg.decimals)
             if cache_cfg.size > 0 else None
         )
-        self.degradation = DegradationController(self.config.shed)
+        self.degradation = DegradationController(self._serve.shed)
         self._queue: AdmissionQueue | None = None
         self._batcher: MicroBatcher | None = None
         self._accepting = False
@@ -410,6 +417,7 @@ class KNNServer:
             "submitted": 0, "accepted": 0, "completed": 0, "rejected": 0,
             "timeout_queued": 0, "timeout_late": 0, "cache_hits": 0,
             "shed_served": 0, "batches": 0, "cancelled": 0,
+            "engine_errors": 0,
         }
         self._latencies_ok: list[float] = []
 
@@ -432,7 +440,7 @@ class KNNServer:
     def start(self) -> "KNNServer":
         if self._accepting:
             raise ConfigurationError("server already started")
-        adm = self.config.admission
+        adm = self._serve.admission
         self._queue = AdmissionQueue(adm.queue_limit)
         self._batcher = MicroBatcher(
             self._queue, self._execute,
@@ -480,7 +488,7 @@ class KNNServer:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.stop()
+        self.close()
 
     # -- client API ------------------------------------------------------------
 
@@ -504,7 +512,7 @@ class KNNServer:
         queue = self._queue
         if not self._accepting or queue is None:
             raise ServerClosed("submit() on a stopped server")
-        cfg = self.config
+        cfg = self._serve
         q = check_query_vector(query, self._dim, "query")
         k = cfg.default_k if k is None else check_positive_int(k, "k")
         ef = self._base_ef if ef is None else check_positive_int(ef, "ef")
@@ -520,7 +528,7 @@ class KNNServer:
             # the lookup key carries the *current* epoch: after a mutable
             # index flips, entries computed against older graphs become
             # structurally unreachable (zero stale hits by construction)
-            epoch = int(getattr(self._engine_view(), "epoch", 0))
+            epoch = int(getattr(engine_view(self.index), "epoch", 0))
             req.cache_key = self.cache.key(q, k, ef, epoch)
             hit = self.cache.get(req.cache_key)
             if hit is not None:
@@ -531,7 +539,7 @@ class KNNServer:
                 self._observe_latency(time.monotonic() - now)
                 resolve(req.future, SearchResult(
                     ids=ids.copy(), dists=dists.copy(), served_ef=served_ef,
-                    from_cache=True, shard_fanout=1, batch_size=0,
+                    from_cache=True, shard_fanout=self._fanout, batch_size=0,
                     latency_ms=(time.monotonic() - now) * 1000.0,
                     epoch=epoch,
                 ))
@@ -593,7 +601,7 @@ class KNNServer:
         # degradation: one queue-pressure observation per flush
         old_level = self.degradation.level
         level = self.degradation.observe(
-            depth, self.config.admission.queue_limit
+            depth, self._serve.admission.queue_limit
         )
         if level != old_level:
             self._gauge("shed_level", level)
@@ -607,22 +615,6 @@ class KNNServer:
         for (k, ef), reqs in groups.items():
             self._run_group(k, ef, reqs, depth)
 
-    def _engine_view(self) -> Any:
-        """The engine to run searches against.
-
-        A mutable index exposes its current epoch-stamped snapshot as a
-        ``snapshot`` attribute; pinning that one reference for a whole
-        micro-batch guarantees every request of the batch is answered
-        from one consistent graph even while the writer flips epochs
-        underneath.  (``DynamicKNNG.snapshot`` is a *method* - the
-        callable check keeps the server treating it as a plain engine.)
-        Static indexes are their own view, at implicit epoch 0.
-        """
-        view = getattr(self.index, "snapshot", None)
-        if view is None or callable(view):
-            return self.index
-        return view
-
     def _run_group(self, k: int, ef: int, reqs: list[Request],
                    depth: int) -> None:
         served_ef = self.degradation.effective_ef(ef)
@@ -630,14 +622,21 @@ class KNNServer:
         qmat = np.stack([r.query for r in reqs], axis=0)
         # one snapshot for the whole micro-batch: epoch flips between
         # here and resolution cannot tear this group's results
-        view = self._engine_view()
+        view = engine_view(self.index)
         epoch = int(getattr(view, "epoch", 0))
         self._emit(Events.SERVE_BATCH_BEFORE, batch=len(reqs), k=k,
                    ef=served_ef, shed=shed, queue_depth=depth, epoch=epoch)
         t0 = time.monotonic()
         for req in reqs:
             self._observe_hist("queue_wait_seconds", t0 - req.submitted)
-        ids, dists = view.search(qmat, k, ef=served_ef)
+        try:
+            ids, dists = view.search(qmat, k, ef=served_ef)
+        except Exception as exc:  # noqa: BLE001 - delivered to the group
+            # fail this group only: the batch's other (k, ef) groups are
+            # independent engine calls and are still served
+            self._count("engine_errors")
+            MicroBatcher.fail_all(reqs, exc)
+            return
         seconds = time.monotonic() - t0
         self._count("batches")
         if shed:
@@ -673,7 +672,7 @@ class KNNServer:
             self._count("completed")
             resolve(req.future, SearchResult(
                 ids=ids[i], dists=dists[i], served_ef=served_ef,
-                from_cache=False, shard_fanout=1,
+                from_cache=False, shard_fanout=self._fanout,
                 latency_ms=latency * 1000.0, batch_size=len(reqs),
                 epoch=epoch,
             ))
@@ -743,7 +742,7 @@ class KNNServer:
             **counters,
             "timeouts": counters["timeout_queued"] + counters["timeout_late"],
             "queue_depth": queue.depth() if queue is not None else 0,
-            "queue_limit": self.config.admission.queue_limit,
+            "queue_limit": self._serve.admission.queue_limit,
             "shed_level": self.degradation.level,
             "shed_transitions": self.degradation.transitions,
             "latency_ms": self.latency_percentiles(),

@@ -405,6 +405,29 @@ class TestServerProtocol:
         assert res.served_ef < 32
         assert len(server.cache) == 0
 
+    def test_engine_error_fails_only_its_group(self, index, queries):
+        """A raising engine call fails its own (k, ef) group; the other
+        groups of the same micro-batch are still served."""
+        class FailingIndex(CountingIndex):
+            def search(self, q, k, *, ef=None):
+                if k == 3:
+                    raise RuntimeError("engine fault at k=3")
+                return super().search(q, k, ef=ef)
+
+        server = KNNServer(FailingIndex(index), ServeConfig(
+            admission=AdmissionPolicy(max_batch=2, max_wait_ms=5000.0)))
+        with server:
+            bad = server.submit(queries[0], 3)
+            good = server.submit(queries[1], 5)   # fills the batch of two
+            with pytest.raises(RuntimeError, match="k=3"):
+                bad.result(timeout=10.0)
+            res = good.result(timeout=10.0)
+        assert res.batch_size == 1
+        assert res.ids.shape == (5,)
+        stats = server.stats()
+        assert stats["engine_errors"] == 1
+        assert stats["completed"] == 1
+
 
 class TestServeObservability:
     def test_metrics_hooks_and_trace(self, index, queries, tmp_path):

@@ -23,6 +23,7 @@ from repro.errors import (
 )
 from repro.obs import Events, Observability
 from repro.serve import (
+    CachePolicy,
     ClusterClient,
     ClusterConfig,
     SearchResult,
@@ -296,6 +297,36 @@ class TestProcessBackend:
             assert client.stats()["router"]["ejections"] >= 1
 
 
+class TestClusterCache:
+    def test_repeat_query_served_from_cache(self, points, queries):
+        serve = ServeConfig(ef=EF, cache=CachePolicy(size=64))
+        with make_cluster(points, "sqeuclidean", 2, 1,
+                          serve=serve) as client:
+            first = client.query(queries[0], TOP_K)
+            second = client.query(queries[0], TOP_K)
+            stats = client.stats()
+        assert not first.from_cache and second.from_cache
+        assert second.ids.tobytes() == first.ids.tobytes()
+        assert second.dists.tobytes() == first.dists.tobytes()
+        assert first.epoch == second.epoch == 0
+        assert second.shard_fanout == 2
+        assert stats["cache_hits"] == 1
+
+    def test_shed_answer_not_cached(self, points, queries):
+        serve = ServeConfig(
+            ef=4 * N, cache=CachePolicy(size=64),
+            shed=ShedPolicy(high_water=0.5, low_water=0.01, factor=0.5,
+                            min_ef=8, max_level=2, step_down_after=1000))
+        with make_cluster(points, "sqeuclidean", 2, 1,
+                          serve=serve) as client:
+            client.degradation.level = 1        # forced: served_ef = 2N
+            first = client.query(queries[0], TOP_K)
+            second = client.query(queries[0], TOP_K)
+        assert first.served_ef == 2 * N
+        assert not first.from_cache and not second.from_cache
+        assert len(client.cache) == 0
+
+
 class TestReplicaGroup:
     def _group(self, n=3):
         index = GraphSearchIndex.build(
@@ -392,3 +423,18 @@ class TestClusterObservability:
                           if s.name == "shard-0")
         assert "engine_seconds" in shard_span.attrs
         assert shard_span.attrs["replica"] == "s0/r0"
+        # shard spans last as long as the shard call really took, and sit
+        # inside the batch span that scattered them
+        batch = next(s for s in obs.trace.records
+                     if s.name == "cluster_batch")
+        for sid in range(2):
+            span = next(s for s in obs.trace.records
+                        if s.name == f"shard-{sid}")
+            assert span.parent_path == batch.path
+            assert span.seconds >= span.attrs["engine_seconds"] > 0
+            assert batch.start <= span.start
+            assert span.start + span.seconds <= batch.start + batch.seconds
+        # the envelope's metrics are the server's; the router's are cluster's
+        assert obs.metrics.section("serve/")["completed"] == 1
+        assert obs.metrics.section("serve/")["latency_seconds"]["count"] == 1
+        assert obs.metrics.section("cluster/")["shard_calls"] == 2
