@@ -211,8 +211,11 @@ def preferred_strategy(
     proportions (measured on the clustered workloads: an unordered-pair
     strategy sees each pair once and visits two lists; acceptance rate
     ~0.3 once lists warm up) and returns the cheaper one for the given
-    geometry.  This is what ``BuildConfig(strategy="auto")`` resolves
-    through.
+    geometry.  The answer is in modeled GPU cycles, so it resolves
+    ``BuildConfig(strategy="auto")`` on the SIMT backend only; vectorized
+    ``auto`` builds run ``tiled``, the CPU's fastest kernel by
+    wall-clock.  Every build reports this answer as ``model_strategy``
+    (see :meth:`repro.core.config.BuildConfig.resolved_strategy`).
     """
     pairs = 10_000  # any common scale; only the ratio matters
     atomic = wknng_cycles(

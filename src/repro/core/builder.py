@@ -66,7 +66,11 @@ class BuildReport:
         :meth:`as_dict` is self-describing.
     strategy:
         The maintenance strategy actually resolved at build time (after
-        ``"auto"`` resolution).
+        ``"auto"`` resolution, see :meth:`BuildConfig.resolved_strategy`).
+    model_strategy:
+        The SIMT cost model's pick for the same geometry
+        (:meth:`BuildConfig.model_strategy`): the paper's atomic/tiled
+        crossover, reported whatever strategy the build ran.
     parallel:
         Process-parallel execution summary: worker count plus per-shard
         wall times and merge times for the sharded phases (empty detail
@@ -81,6 +85,7 @@ class BuildReport:
     metrics: dict[str, Any] = field(default_factory=dict)
     metric: str = ""
     strategy: str = ""
+    model_strategy: str = ""
     parallel: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -107,6 +112,7 @@ class BuildReport:
         counters_baseline: dict[str, int] | None = None,
         metric: str = "",
         strategy: str = "",
+        model_strategy: str = "",
         parallel: dict[str, Any] | None = None,
     ) -> "BuildReport":
         """Derive the report from a finished observability session.
@@ -157,6 +163,7 @@ class BuildReport:
             metrics=obs.metrics.as_dict(),
             metric=metric,
             strategy=strategy,
+            model_strategy=model_strategy,
             parallel=dict(parallel or {}),
         )
 
@@ -173,6 +180,7 @@ class BuildReport:
             "leaf_stats": dict(self.leaf_stats),
             "metric": self.metric,
             "strategy": self.strategy,
+            "model_strategy": self.model_strategy,
             "parallel": dict(self.parallel),
         }
 
@@ -244,7 +252,7 @@ class WKNNGBuilder:
         cfg = self.config
         check_k_fits(cfg.k, x.shape[0])
         x, metric_info = prepare_points(x, cfg.metric)
-        resolved = self._resolve_strategy(x.shape[1])
+        resolved = cfg.resolved_strategy(x.shape[1])
         if resolved != cfg.strategy:
             cfg = replace(cfg, strategy=resolved)
         obs = self.obs if self.obs is not None else Observability()
@@ -256,24 +264,10 @@ class WKNNGBuilder:
         graph.meta["metric"] = cfg.metric
         graph.meta["metric_info"] = metric_info
         graph.meta["strategy"] = resolved
+        graph.meta["model_strategy"] = report.model_strategy
         if return_report:
             return graph, report
         return graph
-
-    def _resolve_strategy(self, dim: int) -> str:
-        """Resolve ``strategy="auto"`` via the device cost model."""
-        cfg = self.config
-        if cfg.strategy != "auto":
-            return cfg.strategy
-        from repro.bench.costmodel import preferred_strategy
-        from repro.kernels.tiled import DEFAULT_TILE_SIZE
-
-        choice = preferred_strategy(
-            dim, cfg.k, cfg.leaf_size,
-            tile_size=cfg.strategy_kwargs.get("tile_size", DEFAULT_TILE_SIZE),
-        )
-        self._resolved_strategy = choice
-        return choice
 
     def _build_vectorized(
         self, x: np.ndarray, cfg: BuildConfig, obs: Observability
@@ -330,10 +324,6 @@ class WKNNGBuilder:
                         strategy.update_leaf_batch(
                             state, x, leaf_mat, lengths, dedupe=cfg.spill > 0.0
                         )
-                # slot order is history-dependent (serial insertion vs shard
-                # merge); refine samples by (row, slot), so hand over the
-                # canonical arrangement regardless of how we got here
-                state.canonicalize()
 
             with obs.trace.span("refine"):
                 sample = cfg.effective_refine_sample()
@@ -345,6 +335,11 @@ class WKNNGBuilder:
                 for round_idx in range(cfg.refine_iters):
                     with obs.trace.span(f"round-{round_idx}") as round_span:
                         round_t0 = time.perf_counter()
+                        # slot order is history-dependent (serial insertion
+                        # vs shard merge, and each kernel's own slot
+                        # writes); the join samples by (row, slot), so every
+                        # round starts from the canonical arrangement
+                        state.canonicalize()
                         inserted, round_info = refine_round_sharded(
                             state, x, strategy, rng, sample, refine_state,
                             n_jobs=cfg.n_jobs if sharded else 1,
@@ -382,7 +377,8 @@ class WKNNGBuilder:
         strategy.counters.emit(obs.metrics)
         report = BuildReport.from_obs(
             obs, counters_prefix=KERNEL_PREFIX, counters_baseline=counters_before,
-            metric=cfg.metric, strategy=cfg.strategy, parallel=parallel_info,
+            metric=cfg.metric, strategy=cfg.strategy,
+            model_strategy=cfg.model_strategy(x.shape[1]), parallel=parallel_info,
         )
         self._last_report = report
         graph = KNNGraph(

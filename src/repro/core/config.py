@@ -26,10 +26,14 @@ class BuildConfig:
     strategy:
         k-NN maintenance strategy: ``"baseline"``, ``"atomic"``,
         ``"tiled"`` (see :mod:`repro.kernels`), or ``"auto"``.  The
-        paper's guidance: ``atomic`` for low-dimensional data, ``tiled``
-        for high-dimensional or unknown data (the library default);
-        ``"auto"`` applies that guidance at build time via the device cost
-        model (:func:`repro.bench.costmodel.preferred_strategy`).
+        paper's guidance - ``atomic`` for low-dimensional data, ``tiled``
+        for high-dimensional data - is a claim about GPU cycles.  ``"auto"``
+        picks by the axis the build runs on (:meth:`resolved_strategy`):
+        the SIMT backend applies the device cost model
+        (:meth:`model_strategy`); the vectorized backend runs ``tiled``,
+        its fastest kernel by wall-clock at every measured d
+        (``benchmarks/bench_auto_strategy.py``).  The model's answer is
+        reported beside the resolved strategy either way.
     strategy_kwargs:
         Extra constructor arguments for the strategy (e.g. ``tile_size``
         for ``tiled``).
@@ -141,6 +145,30 @@ class BuildConfig:
                 f"leaf_size ({self.leaf_size}) must exceed k ({self.k}); "
                 f"leaves are each point's candidate pool"
             )
+
+    def model_strategy(self, dim: int) -> str:
+        """The SIMT cost model's pick for ``dim`` (the paper's crossover)."""
+        from repro.bench.costmodel import preferred_strategy  # import cycle
+        from repro.kernels.tiled import DEFAULT_TILE_SIZE
+
+        return preferred_strategy(
+            dim, self.k, self.leaf_size,
+            tile_size=self.strategy_kwargs.get("tile_size", DEFAULT_TILE_SIZE),
+        )
+
+    def resolved_strategy(self, dim: int) -> str:
+        """The strategy a build over ``dim``-d points runs.
+
+        An explicit strategy is returned unchanged.  ``"auto"`` resolves
+        by the axis the backend is measured on: modeled cycles for
+        ``"simt"`` (:meth:`model_strategy`), wall-clock for
+        ``"vectorized"``, where ``tiled`` is fastest.
+        """
+        if self.strategy != "auto":
+            return self.strategy
+        if self.backend == "simt":
+            return self.model_strategy(dim)
+        return "tiled"
 
     def effective_refine_sample(self) -> int:
         """Local-join neighbourhood sample size per round (see class docs)."""

@@ -50,7 +50,7 @@ Architecture notes and serving integration: ``docs/mutable.md``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -277,22 +277,15 @@ class MutableIndex:
         obs: Observability | None = None,
     ) -> None:
         self._snapshot = snapshot
+        # resolved once: per-insert maintenance and the compaction rebuild
+        # run the same strategy
+        build_config = replace(
+            build_config, strategy=build_config.resolved_strategy(snapshot.dim)
+        )
         self._build_config = build_config
         self.mutable_config = config or MutableConfig()
         self.obs = obs
         self._write_lock = threading.Lock()
-        if build_config.strategy == "auto":
-            from dataclasses import replace
-
-            from repro.bench.costmodel import preferred_strategy
-
-            build_config = replace(
-                build_config,
-                strategy=preferred_strategy(
-                    snapshot.dim, build_config.k, build_config.leaf_size
-                ),
-            )
-            self._build_config = build_config
         self._strategy: Strategy = get_strategy(
             build_config.strategy, **build_config.strategy_kwargs
         )

@@ -23,6 +23,8 @@ rebuild is worthwhile (the usual policy: rebuild at ~2x).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.builder import WKNNGBuilder
@@ -72,17 +74,9 @@ class DynamicKNNG:
                 for tree in forest.trees
             ]
         )
-        if config.strategy == "auto":
-            from dataclasses import replace
-
-            from repro.bench.costmodel import preferred_strategy
-
-            config = replace(
-                config,
-                strategy=preferred_strategy(
-                    points.shape[1], config.k, config.leaf_size
-                ),
-            )
+        config = replace(
+            config, strategy=config.resolved_strategy(points.shape[1])
+        )
         self.config = config
         self._strategy: Strategy = get_strategy(
             config.strategy, **config.strategy_kwargs

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.config import BuildConfig
 from repro.core.graph import KNNGraph
-from repro.core.refine import RefineState, local_join_candidates
+from repro.core.refine import RefineState, _new_flags, local_join_candidates
 from repro.core.rpforest import build_forest
 from repro.errors import ConfigurationError
 from repro.kernels.knn_state import EMPTY_ID, KnnState
@@ -199,23 +199,36 @@ def build_knng_simt(points: np.ndarray, config: BuildConfig,
             rng = as_generator(refine_rng)
             sample = config.effective_refine_sample()
             refine_state = RefineState()
+            threshold = config.refine_delta * n * config.k
             for round_idx in range(config.refine_iters):
                 with obs.trace.span(f"round-{round_idx}") as round_span:
+                    # the join samples by (row, slot): hand it the same
+                    # canonical arrangement the vectorized builder does
                     state = lists.to_state()
+                    state.canonicalize()
                     rows, cols = local_join_candidates(
                         state, refine_state, rng, sample)
                     refine_state.prev_ids = state.ids.copy()
                     refine_state.rounds_run += 1
-                    if rows.size == 0:
-                        round_span.set(converged=True)
-                        break
-                    before = lists.to_state().filled_counts().sum()
-                    _launch_pairs(device, lists, xbuf, rows, cols, dim, config.k)
-                    inserted = int(lists.to_state().filled_counts().sum() - before)
+                    inserted = 0
+                    if rows.size:
+                        cas_before = device.metrics.atomic_ops
+                        _launch_pairs(device, lists, xbuf, rows, cols, dim, config.k)
+                        if config.strategy == "atomic":
+                            # one CAS per accepted candidate (the simulator
+                            # never loses a CAS), as AtomicStrategy counts
+                            inserted = int(device.metrics.atomic_ops - cas_before)
+                        else:
+                            # new neighbours that survive the round, as
+                            # the lock and tile bulk merges count them
+                            inserted = int(_new_flags(
+                                lists.to_state(), refine_state.prev_ids).sum())
                     round_span.set(inserted=inserted,
                                    candidates=int(rows.size))
                     obs.metrics.counter("refine/candidate_pairs").inc(int(rows.size))
                     obs.metrics.counter("refine/insertions").inc(inserted)
+                if inserted <= threshold:
+                    break
 
         with obs.trace.span("finalize"):
             state = lists.to_state()
@@ -225,6 +238,7 @@ def build_knng_simt(points: np.ndarray, config: BuildConfig,
     report = BuildReport.from_obs(
         obs, counters_prefix=SIMT_PREFIX, counters_baseline=counters_before,
         metric=config.metric, strategy=config.strategy,
+        model_strategy=config.model_strategy(dim),
         parallel={"n_jobs": 1, "workers": 1},
     )
     meta = {

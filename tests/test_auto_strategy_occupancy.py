@@ -33,10 +33,16 @@ class TestAutoStrategy:
             BuildConfig(strategy="automagic")
 
     def test_auto_resolves_low_dim(self):
+        """Vectorized ``auto`` runs ``tiled``; the model's low-d pick stays
+        visible in the report."""
         x = gaussian_mixture(500, 8, n_clusters=10, seed=0)
-        g = WKNNGBuilder(BuildConfig(k=8, strategy="auto", n_trees=2,
-                                     leaf_size=40, refine_iters=1, seed=0)).build(x)
-        assert g.meta["strategy"] == "atomic"
+        g, report = WKNNGBuilder(BuildConfig(
+            k=8, strategy="auto", n_trees=2, leaf_size=40, refine_iters=1,
+            seed=0)).build(x, return_report=True)
+        assert report.model_strategy == "atomic"
+        assert report.as_dict()["model_strategy"] == "atomic"
+        assert g.meta["model_strategy"] == "atomic"
+        assert g.meta["strategy"] == "tiled"
 
     def test_auto_resolves_high_dim(self):
         x = gaussian_mixture(300, 512, n_clusters=10, seed=0)
@@ -58,6 +64,73 @@ class TestAutoStrategy:
         g = WKNNGBuilder(BuildConfig(k=8, strategy="tiled", n_trees=2,
                                      leaf_size=40, refine_iters=0, seed=0)).build(x)
         assert g.meta["strategy"] == "tiled"
+
+
+class TestResolvedStrategy:
+    """``BuildConfig.resolved_strategy``: the one ``auto`` resolver."""
+
+    @pytest.mark.parametrize("dim", [8, 960])
+    def test_simt_follows_the_cost_model(self, dim):
+        cfg = BuildConfig(k=16, leaf_size=64, strategy="auto", backend="simt")
+        assert cfg.resolved_strategy(dim) == preferred_strategy(dim, 16, 64)
+        assert cfg.model_strategy(dim) == preferred_strategy(dim, 16, 64)
+
+    @pytest.mark.parametrize("dim", [4, 8, 64, 960])
+    def test_vectorized_runs_tiled(self, dim):
+        cfg = BuildConfig(k=16, leaf_size=64, strategy="auto")
+        assert cfg.resolved_strategy(dim) == "tiled"
+
+    @pytest.mark.parametrize("backend", ["vectorized", "simt"])
+    @pytest.mark.parametrize("strategy", ["baseline", "atomic", "tiled"])
+    def test_explicit_strategy_returned_unchanged(self, strategy, backend):
+        cfg = BuildConfig(strategy=strategy, backend=backend)
+        assert cfg.resolved_strategy(8) == strategy
+        assert cfg.resolved_strategy(960) == strategy
+
+    def test_tile_size_reaches_the_model(self):
+        cfg = BuildConfig(k=16, leaf_size=64, strategy="auto", backend="simt",
+                          strategy_kwargs={"tile_size": 128})
+        assert preferred_strategy(64, 16, 64) == "atomic"
+        assert cfg.resolved_strategy(64) == "tiled"
+
+
+class TestAutoMaintenance:
+    """Indexes created with ``auto`` maintain with the resolved kernel."""
+
+    CFG = dict(k=8, strategy="auto", n_trees=2, leaf_size=40,
+               refine_iters=1, seed=0)
+
+    def test_mutable_index_maintains_with_tiled(self):
+        from repro.core.mutable import MutableIndex
+
+        x = gaussian_mixture(300, 8, n_clusters=6, seed=0)
+        mut = MutableIndex.build(x[:240], BuildConfig(**self.CFG))
+        assert mut._build_config.strategy == "tiled"
+        assert mut._strategy.name == "tiled"
+        mut.insert(x[240:])
+        assert mut._strategy.name == "tiled"
+
+    def test_compaction_rebuilds_with_tiled(self):
+        from repro.core.mutable import MutableConfig, MutableIndex
+
+        x = gaussian_mixture(300, 8, n_clusters=6, seed=0)
+        mut = MutableIndex.build(x, BuildConfig(**self.CFG),
+                                 config=MutableConfig(compact_threshold=1.0))
+        mut.delete(np.arange(20))
+        mut.compact()
+        assert mut.counters["compactions"] == 1
+        assert mut.snapshot.index.graph.meta["strategy"] == "tiled"
+        assert mut.snapshot.index.graph.meta["model_strategy"] == "atomic"
+
+    def test_dynamic_knng_maintains_with_tiled(self):
+        from repro.core.update import DynamicKNNG
+
+        x = gaussian_mixture(300, 8, n_clusters=6, seed=0)
+        dyn = DynamicKNNG.build(x[:240], BuildConfig(**self.CFG))
+        assert dyn.config.strategy == "tiled"
+        assert dyn._strategy.name == "tiled"
+        dyn.add(x[240:])
+        assert dyn.snapshot().n == 300
 
 
 class TestOccupancyModel:

@@ -277,10 +277,12 @@ class TestBuilderApi:
         d = rep.as_dict()
         assert set(d) == {"phase_seconds", "total_seconds", "counters",
                           "refine_insertions", "leaf_stats",
-                          "metric", "strategy", "parallel"}
-        # bench JSON is self-describing: resolved metric + strategy ride along
+                          "metric", "strategy", "model_strategy", "parallel"}
+        # bench JSON is self-describing: resolved metric + strategy ride
+        # along, with the cost model's pick beside the strategy that ran
         assert d["metric"] == "sqeuclidean"
         assert d["strategy"] == cfg().strategy
+        assert d["model_strategy"] in ("atomic", "tiled")
         assert d["parallel"]["n_jobs"] == 1
 
     def test_report_constructible_directly(self):
