@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -12,9 +11,9 @@ import numpy as np
 from repro.core.config import BuildConfig
 from repro.core.graph import KNNGraph
 from repro.core.metric import prepare_points
-from repro.core.refine import RefineState
+from repro.core.refine import RefineState, refine_round
 from repro.core.rpforest import RPForest, build_forest, forest_leaf_batches
-from repro.core.sharding import refine_round_sharded, run_leaf_phase_sharded
+from repro.core.sharding import run_leaf_phase_sharded
 from repro.kernels.counters import METRICS_PREFIX as KERNEL_PREFIX
 from repro.kernels.knn_state import KnnState
 from repro.kernels.strategy import Strategy, get_strategy
@@ -218,20 +217,7 @@ class WKNNGBuilder:
         self.config = config if config is not None else BuildConfig(**kwargs)
         self.obs = obs
         self.last_obs: Observability | None = None
-        self._last_report: BuildReport | None = None
         self.last_forest: RPForest | None = None
-
-    @property
-    def last_report(self) -> BuildReport | None:
-        """Deprecated: use ``build(points, return_report=True)`` or
-        ``graph.report`` instead."""
-        warnings.warn(
-            "WKNNGBuilder.last_report is deprecated; use "
-            "build(points, return_report=True) or graph.report",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_report
 
     # -- pipeline ---------------------------------------------------------------
 
@@ -307,7 +293,6 @@ class WKNNGBuilder:
                     leaf_info = run_leaf_phase_sharded(
                         state, x, batches, strategy, cfg.n_jobs,
                         dedupe=cfg.spill > 0.0,
-                        strategy_kwargs=cfg.strategy_kwargs,
                     )
                     parallel_info["leaf"] = {
                         "shards": leaf_info["shards"],
@@ -330,42 +315,31 @@ class WKNNGBuilder:
                 rng = as_generator(refine_rng)
                 refine_state = RefineState()
                 threshold = cfg.refine_delta * n * cfg.k
-                refine_shard_seconds: list[float] = []
-                refine_merge_seconds = 0.0
+                refine_t0 = time.perf_counter()
                 for round_idx in range(cfg.refine_iters):
                     with obs.trace.span(f"round-{round_idx}") as round_span:
-                        round_t0 = time.perf_counter()
-                        # slot order is history-dependent (serial insertion
-                        # vs shard merge, and each kernel's own slot
-                        # writes); the join samples by (row, slot), so every
-                        # round starts from the canonical arrangement
+                        # slot order is history-dependent (leaf shard merge
+                        # and each kernel's own slot writes); the join
+                        # samples by (row, slot), so every round starts
+                        # from the canonical arrangement
                         state.canonicalize()
-                        inserted, round_info = refine_round_sharded(
+                        inserted = refine_round(
                             state, x, strategy, rng, sample, refine_state,
-                            n_jobs=cfg.n_jobs if sharded else 1,
-                            strategy_kwargs=cfg.strategy_kwargs, obs=obs,
+                            obs=obs, n_jobs=cfg.n_jobs if sharded else 1,
                         )
                         round_span.set(inserted=inserted)
-                    worker_secs = [
-                        g + i for g, i in zip(
-                            round_info["gen_seconds"],
-                            round_info["insert_seconds"]
-                            or [0.0] * len(round_info["gen_seconds"]),
-                        )
-                    ]
-                    refine_shard_seconds.extend(worker_secs)
-                    refine_merge_seconds += (
-                        time.perf_counter() - round_t0 - sum(worker_secs)
-                        if sharded else 0.0
-                    )
                     if inserted <= threshold:
                         break
                 if sharded:
+                    shard_seconds = refine_state.shard_seconds
                     parallel_info["refine"] = {
-                        "shard_seconds": refine_shard_seconds,
-                        "merge_seconds": max(0.0, refine_merge_seconds),
+                        "shard_seconds": shard_seconds,
+                        "merge_seconds": max(
+                            0.0,
+                            time.perf_counter() - refine_t0 - sum(shard_seconds),
+                        ),
                     }
-                    for sec in refine_shard_seconds:
+                    for sec in shard_seconds:
                         obs.metrics.histogram(
                             "parallel/refine_shard_seconds").observe(sec)
 
@@ -380,7 +354,6 @@ class WKNNGBuilder:
             metric=cfg.metric, strategy=cfg.strategy,
             model_strategy=cfg.model_strategy(x.shape[1]), parallel=parallel_info,
         )
-        self._last_report = report
         graph = KNNGraph(
             ids=ids,
             dists=dists,
@@ -407,5 +380,4 @@ class WKNNGBuilder:
         from repro.simt_kernels.pipeline import build_knng_simt
 
         graph, report = build_knng_simt(x, cfg, obs=obs)
-        self._last_report = report
         return graph, report

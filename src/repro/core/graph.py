@@ -124,19 +124,6 @@ class KNNGraph:
         vals[vals == 0.0] = np.finfo(np.float64).tiny
         return sparse.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
-    def to_networkx(self):
-        """Directed NetworkX graph with ``weight`` = squared distance."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.n))
-        valid = self.ids >= 0
-        rows = np.repeat(np.arange(self.n), valid.sum(axis=1))
-        cols = self.ids[valid]
-        vals = self.dists[valid]
-        g.add_weighted_edges_from(zip(rows.tolist(), cols.tolist(), vals.tolist()))
-        return g
-
     def to_coo(
         self, *, symmetrize: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:

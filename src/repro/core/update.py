@@ -197,22 +197,10 @@ class DynamicKNNG:
         )
         sample = self.config.effective_refine_sample()
         for _ in range(max(0, repair_rounds)):
-            if self.config.n_jobs > 1:
-                # repair rounds shard by point ranges like the builder's
-                # (same RNG consumption order as the serial round)
-                from repro.core.sharding import refine_round_sharded
-
-                inserted, _ = refine_round_sharded(
-                    self._state, self._x, self._strategy, self._rng, sample,
-                    refine_state, n_jobs=self.config.n_jobs,
-                    strategy_kwargs=self.config.strategy_kwargs,
-                )
-            else:
-                inserted = refine_round(
-                    self._state, self._x, self._strategy, self._rng, sample,
-                    refine_state,
-                )
-            if inserted == 0:
+            if refine_round(
+                self._state, self._x, self._strategy, self._rng, sample,
+                refine_state, n_jobs=self.config.n_jobs,
+            ) == 0:
                 break
         return new_ids
 

@@ -26,9 +26,8 @@ class OpCounters:
     #: point-pair distance evaluations (each costs O(d) FLOPs).  In the
     #: leaf phase, strategies that update both endpoints of a pair
     #: (baseline, atomic) count each unordered pair once while the tiled
-    #: strategy computes both directions; the sharded refine path computes
-    #: (and counts) each unordered pair once per worker shard for every
-    #: strategy.
+    #: strategy computes both directions; the refine round computes (and
+    #: counts) each unordered pair once per row shard for every strategy.
     distance_evals: int = 0
     #: insertion visits: candidates entering the maintenance structure
     #: before any filtering (every visit pays the strategy's scan)

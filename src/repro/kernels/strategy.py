@@ -16,6 +16,7 @@ maintenance discipline that distinguishes the three strategies.
 
 from __future__ import annotations
 
+import copy
 import time
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable
@@ -282,6 +283,18 @@ class Strategy(ABC):
         row's current maximum, and (from the builder) no duplicate
         ``(row, col)`` pairs within the batch.
         """
+
+    def detached(self) -> "Strategy":
+        """A copy with zeroed counters and no observability session.
+
+        Sharded phases run each shard through one (in a forked worker or
+        inline); the caller adds its counters back, so work is counted
+        once and dispatch events come only from the parent.
+        """
+        clone = copy.copy(self)
+        clone.counters = OpCounters()
+        clone.obs = None
+        return clone
 
     def reset_counters(self) -> OpCounters:
         """Zero the counters, returning the pre-reset values."""

@@ -82,7 +82,6 @@ from repro.serve.server import (
     DeadlinePolicy,
     KNNServer,
     QuantizationPolicy,
-    QueryResult,
     ServeConfig,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "DeadlinePolicy",
     "CachePolicy",
     "QuantizationPolicy",
-    "QueryResult",
     "SERVE_METRICS_PREFIX",
     "ClusterClient",
     "ClusterConfig",

@@ -17,9 +17,7 @@ Benchmarks, load generators and examples consume only this surface, so a
 single-process server and a sharded cluster are interchangeable behind it
 - the point of the redesign.
 
-:class:`SearchResult` replaces the historical ad-hoc ``(ids, dists)``
-tuples and per-implementation result classes; ``QueryResult`` remains as
-an alias for one release.
+:class:`SearchResult` is the one result type every front-end returns.
 """
 
 from __future__ import annotations
@@ -71,29 +69,16 @@ class SearchResult:
     batch_size: int = 1
     epoch: int = 0
 
-    @property
-    def ef_used(self) -> int:
-        """Deprecated alias of :attr:`served_ef` (pre-redesign name)."""
-        return self.served_ef
-
-    @property
-    def cached(self) -> bool:
-        """Deprecated alias of :attr:`from_cache` (pre-redesign name)."""
-        return self.from_cache
-
 
 def engine_view(index: Any) -> Any:
     """The engine to run one call (a search, a micro-batch) against.
 
     A mutable index's ``snapshot`` attribute is its current epoch-stamped
     view: pinning it for the whole call answers every query from one graph
-    version, the one whose ``epoch`` is reported.  Static indexes (and
-    ``DynamicKNNG``, whose ``snapshot`` is a method) are their own view.
+    version, the one whose ``epoch`` is reported.  Static indexes are
+    their own view.
     """
-    view = getattr(index, "snapshot", None)
-    if view is None or callable(view):
-        return index
-    return view
+    return getattr(index, "snapshot", index)
 
 
 @runtime_checkable

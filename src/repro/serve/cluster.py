@@ -218,9 +218,7 @@ class ClusterConfig:
         return max(self.shard_ef_floor, k, -(-ef // self.n_shards))
 
     def as_dict(self) -> dict[str, Any]:
-        out = dataclasses.asdict(self)
-        out["serve"] = self.serve.as_dict()
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, Any]) -> "ClusterConfig":

@@ -42,7 +42,7 @@ class Request:
     ``deadline`` is absolute :func:`time.monotonic` time (or ``None`` for
     no deadline); ``ef`` is the *requested* (full-quality) beam width -
     the shed policy may execute it lower.  The ``future`` resolves to a
-    :class:`~repro.serve.server.QueryResult` or raises one of the
+    :class:`~repro.serve.client.SearchResult` or raises one of the
     :mod:`repro.errors` serve exceptions.
     """
 

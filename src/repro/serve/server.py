@@ -29,10 +29,8 @@ This is the package's one serving envelope: the sharded
 
 Configuration is the frozen, sectioned :class:`ServeConfig`
 (:class:`AdmissionPolicy` / :class:`DeadlinePolicy` / :class:`CachePolicy`
-/ :class:`~repro.serve.degrade.ShedPolicy`); the historical flat keyword
-surface still constructs for one release with a ``DeprecationWarning``.
-The server implements the :class:`~repro.serve.client.SearchClient`
-protocol.
+/ :class:`~repro.serve.degrade.ShedPolicy`).  The server implements the
+:class:`~repro.serve.client.SearchClient` protocol.
 
 Everything is observable: ``serve/*`` metrics (counters, queue-depth and
 shed-level gauges, p50/p95/p99 latency quantile histograms) and
@@ -44,9 +42,8 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-import warnings
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
@@ -70,9 +67,6 @@ from repro.utils.validation import (
 
 #: registry namespace the serving metrics emit under
 SERVE_METRICS_PREFIX = "serve/"
-
-#: deprecated alias of :class:`~repro.serve.client.SearchResult`
-QueryResult = SearchResult
 
 
 @dataclass(frozen=True)
@@ -182,26 +176,16 @@ class QuantizationPolicy:
         return {"quantization": self.mode, "rerank": self.rerank}
 
 
-#: deprecated flat kwarg -> (section field, field inside the section)
-_FLAT_FIELDS: dict[str, tuple[str, str]] = {
-    "max_batch": ("admission", "max_batch"),
-    "max_wait_ms": ("admission", "max_wait_ms"),
-    "queue_limit": ("admission", "queue_limit"),
-    "n_workers": ("admission", "n_workers"),
-    "default_deadline_ms": ("deadline", "default_ms"),
-    "cache_size": ("cache", "size"),
-    "cache_decimals": ("cache", "decimals"),
-}
-
 _SECTION_TYPES = {
     "admission": AdmissionPolicy,
     "deadline": DeadlinePolicy,
     "cache": CachePolicy,
     "quant": QuantizationPolicy,
+    "shed": ShedPolicy,
 }
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ServeConfig:
     """Serving parameters, grouped into frozen policy sections.
 
@@ -224,138 +208,39 @@ class ServeConfig:
         Full-quality beam width served at (``None`` = the index's
         configured ``ef``).
 
-    The pre-redesign flat keywords (``max_batch``, ``max_wait_ms``,
-    ``queue_limit``, ``n_workers``, ``default_deadline_ms``,
-    ``cache_size``, ``cache_decimals``) still construct - applied on top
-    of the matching section - but emit a ``DeprecationWarning`` and will
-    be removed next release; the same names remain readable as
-    properties.  ``from_dict``/``as_dict`` round-trip the nested form for
-    CLI/JSON use.
+    ``from_dict``/``as_dict`` round-trip the nested form for CLI/JSON use.
     """
 
-    admission: AdmissionPolicy
-    deadline: DeadlinePolicy
-    cache: CachePolicy
-    quant: QuantizationPolicy
-    shed: ShedPolicy
-    default_k: int
-    ef: int | None
+    admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
+    deadline: DeadlinePolicy = field(default_factory=DeadlinePolicy)
+    cache: CachePolicy = field(default_factory=CachePolicy)
+    quant: QuantizationPolicy = field(default_factory=QuantizationPolicy)
+    shed: ShedPolicy = field(default_factory=ShedPolicy)
+    default_k: int = 10
+    ef: int | None = None
 
-    def __init__(
-        self,
-        admission: AdmissionPolicy | None = None,
-        deadline: DeadlinePolicy | None = None,
-        cache: CachePolicy | None = None,
-        quant: QuantizationPolicy | None = None,
-        shed: ShedPolicy | None = None,
-        default_k: int = 10,
-        ef: int | None = None,
-        **flat: Any,
-    ) -> None:
-        if flat:
-            known = sorted(set(flat) & set(_FLAT_FIELDS))
-            unknown = sorted(set(flat) - set(_FLAT_FIELDS))
-            if unknown:
-                raise TypeError(
-                    f"unknown ServeConfig argument(s) {unknown}; "
-                    f"sections: admission/deadline/cache/shed"
-                )
-            warnings.warn(
-                f"flat ServeConfig keyword(s) {known} are deprecated; pass "
-                f"the admission=/deadline=/cache= sections instead "
-                f"(docs/serving.md has the migration table)",
-                DeprecationWarning, stacklevel=2,
-            )
-        sections: dict[str, Any] = {
-            "admission": admission, "deadline": deadline, "cache": cache,
-            "quant": quant,
-        }
-        overrides: dict[str, dict[str, Any]] = {
-            name: {} for name in _SECTION_TYPES
-        }
-        for key, value in flat.items():
-            section, field_name = _FLAT_FIELDS[key]
-            overrides[section][field_name] = value
-        for name, cls_ in _SECTION_TYPES.items():
-            current = sections[name]
-            if current is None:
-                current = cls_(**overrides[name])
-            elif overrides[name]:
-                current = dataclasses.replace(current, **overrides[name])
-            object.__setattr__(self, name, current)
-        object.__setattr__(self, "shed", shed or ShedPolicy())
+    def __post_init__(self) -> None:
         object.__setattr__(
-            self, "default_k", check_positive_int(default_k, "default_k"))
-        object.__setattr__(
-            self, "ef", None if ef is None else check_positive_int(ef, "ef"))
-
-    # -- deprecated flat read surface (kept one release) -----------------------
-
-    @property
-    def max_batch(self) -> int:
-        return self.admission.max_batch
-
-    @property
-    def max_wait_ms(self) -> float:
-        return self.admission.max_wait_ms
-
-    @property
-    def queue_limit(self) -> int:
-        return self.admission.queue_limit
-
-    @property
-    def n_workers(self) -> int:
-        return self.admission.n_workers
-
-    @property
-    def default_deadline_ms(self) -> float | None:
-        return self.deadline.default_ms
-
-    @property
-    def cache_size(self) -> int:
-        return self.cache.size
-
-    @property
-    def cache_decimals(self) -> int:
-        return self.cache.decimals
-
-    # -- JSON / CLI round-trip --------------------------------------------------
+            self, "default_k", check_positive_int(self.default_k, "default_k"))
+        if self.ef is not None:
+            object.__setattr__(self, "ef", check_positive_int(self.ef, "ef"))
 
     def as_dict(self) -> dict[str, Any]:
         """Nested plain-dict form (the inverse of :meth:`from_dict`)."""
-        return {
-            "admission": dataclasses.asdict(self.admission),
-            "deadline": dataclasses.asdict(self.deadline),
-            "cache": dataclasses.asdict(self.cache),
-            "quant": dataclasses.asdict(self.quant),
-            "shed": dataclasses.asdict(self.shed),
-            "default_k": self.default_k,
-            "ef": self.ef,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, Any]) -> "ServeConfig":
         """Build a config from the nested dict form.
 
-        Flat legacy keys are accepted too (forwarded through the
-        deprecation path), so configs serialized before the redesign
-        still load.
+        Sections may be given as dicts or as policy objects; an unknown
+        key (a section field at the top level, say) raises ``TypeError``.
         """
         data = dict(mapping)
-        kwargs: dict[str, Any] = {}
         for name, cls_ in _SECTION_TYPES.items():
-            if name in data:
-                section = data.pop(name)
-                kwargs[name] = (
-                    section if isinstance(section, cls_) else cls_(**section)
-                )
-        if "shed" in data:
-            shed = data.pop("shed")
-            kwargs["shed"] = (
-                shed if isinstance(shed, ShedPolicy) else ShedPolicy(**shed)
-            )
-        kwargs.update(data)
-        return cls(**kwargs)
+            if name in data and not isinstance(data[name], cls_):
+                data[name] = cls_(**data[name])
+        return cls(**data)
 
 
 class KNNServer:
@@ -383,16 +268,7 @@ class KNNServer:
         config: ServeConfig | None = None,
         *,
         obs: Observability | None = None,
-        **flat: Any,
     ) -> None:
-        if flat:
-            if config is not None:
-                raise ConfigurationError(
-                    "pass either a ServeConfig or flat keyword arguments, "
-                    "not both"
-                )
-            # ServeConfig emits the DeprecationWarning for the flat names
-            config = ServeConfig(**flat)
         self.index = index
         # the envelope reads ``_serve``: a subclass may widen ``config``
         self.config = self._serve = config or ServeConfig()

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.config import BuildConfig
 from repro.core.graph import KNNGraph
-from repro.core.refine import RefineState, _new_flags, local_join_candidates
+from repro.core.refine import RefineState, end_round, local_join_candidates
 from repro.core.rpforest import build_forest
 from repro.errors import ConfigurationError
 from repro.kernels.knn_state import EMPTY_ID, KnnState
@@ -208,21 +208,9 @@ def build_knng_simt(points: np.ndarray, config: BuildConfig,
                     state.canonicalize()
                     rows, cols = local_join_candidates(
                         state, refine_state, rng, sample)
-                    refine_state.prev_ids = state.ids.copy()
-                    refine_state.rounds_run += 1
-                    inserted = 0
                     if rows.size:
-                        cas_before = device.metrics.atomic_ops
                         _launch_pairs(device, lists, xbuf, rows, cols, dim, config.k)
-                        if config.strategy == "atomic":
-                            # one CAS per accepted candidate (the simulator
-                            # never loses a CAS), as AtomicStrategy counts
-                            inserted = int(device.metrics.atomic_ops - cas_before)
-                        else:
-                            # new neighbours that survive the round, as
-                            # the lock and tile bulk merges count them
-                            inserted = int(_new_flags(
-                                lists.to_state(), refine_state.prev_ids).sum())
+                    inserted = end_round(lists.to_state(), refine_state)
                     round_span.set(inserted=inserted,
                                    candidates=int(rows.size))
                     obs.metrics.counter("refine/candidate_pairs").inc(int(rows.size))

@@ -46,3 +46,19 @@ def test_simt_matches_vectorized(points, strategy, metric, refine_iters):
         assert rs.metrics.get(name, 0) == rv.metrics.get(name, 0), name
     if refine_iters:
         assert all(count > 0 for count in rs.refine_insertions)
+
+
+def test_refine_insertions_mean_one_thing_across_strategies(points):
+    """A round's insertion count is the entries it added to the lists, so
+    strategies that build the same graph report the same per-round counts
+    (an atomic CAS win evicted later in the same round is not counted)."""
+    cfg = dict(k=5, n_trees=2, leaf_size=16, seed=3, refine_iters=2)
+    graphs, counts = {}, {}
+    for strategy in ("baseline", "atomic", "tiled"):
+        graph, report = WKNNGBuilder(BuildConfig(strategy=strategy, **cfg)).build(
+            points, return_report=True)
+        graphs[strategy], counts[strategy] = graph.ids, report.refine_insertions
+    np.testing.assert_array_equal(graphs["atomic"], graphs["baseline"])
+    np.testing.assert_array_equal(graphs["tiled"], graphs["baseline"])
+    assert len(counts["baseline"]) == 2
+    assert counts["atomic"] == counts["baseline"] == counts["tiled"]

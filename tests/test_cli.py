@@ -89,11 +89,11 @@ class TestCommands:
         rc = main([
             "search", "--dataset", "gaussian", "--n", "600", "--dim", "8",
             "--queries", "50", "--topk", "5", "--ef", "24",
-            "--compare-legacy", "--save-index", str(idx_dir),
+            "--save-index", str(idx_dir),
         ])
         assert rc == 0 and idx_dir.exists()
         out = capsys.readouterr().out
-        assert "batched" in out and "legacy" in out and "recall@5" in out
+        assert "batched" in out and "recall@5" in out
         rc = main(["search", "--load-index", str(idx_dir),
                    "--queries", "20", "--topk", "3"])
         assert rc == 0

@@ -73,12 +73,6 @@ class TestConversions:
         m = g.to_csr()
         assert m.nnz == 2
 
-    def test_to_networkx(self, graph):
-        g = graph.to_networkx()
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 6
-        assert g[0][1]["weight"] == pytest.approx(1.0)
-
     def test_symmetrized_ids(self):
         g = KNNGraph(ids=np.array([[1], [2], [-1]], dtype=np.int32),
                      dists=np.array([[1.0], [1.0], [np.inf]], dtype=np.float32))

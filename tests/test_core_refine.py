@@ -6,9 +6,9 @@ from repro.core.refine import (
     RefineState,
     _new_flags,
     _reverse_lists,
-    _sample_columns,
     local_join_candidates,
     refine_round,
+    sample_columns_with_keys,
 )
 from repro.kernels.knn_state import EMPTY_ID, KnnState
 from repro.kernels.strategy import get_strategy
@@ -45,7 +45,7 @@ class TestSampleColumns:
         rng = np.random.default_rng(0)
         ids = np.array([[10, 20, 30, 40]], dtype=np.int32)
         eligible = np.array([[True, False, True, False]])
-        out, ok = _sample_columns(ids, eligible, 4, rng)
+        out, ok = sample_columns_with_keys(ids, eligible, 4, rng.random(ids.shape))
         got = set(out[ok].tolist())
         assert got <= {10, 30}
 
@@ -53,7 +53,7 @@ class TestSampleColumns:
         rng = np.random.default_rng(0)
         ids = np.tile(np.arange(10, dtype=np.int32), (3, 1))
         eligible = np.ones((3, 10), dtype=bool)
-        out, ok = _sample_columns(ids, eligible, 4, rng)
+        out, ok = sample_columns_with_keys(ids, eligible, 4, rng.random(ids.shape))
         assert out.shape == (3, 4)
         assert ok.all()
 
@@ -61,7 +61,7 @@ class TestSampleColumns:
         rng = np.random.default_rng(0)
         ids = np.array([[5, 6]], dtype=np.int32)
         eligible = np.array([[False, False]])
-        out, ok = _sample_columns(ids, eligible, 2, rng)
+        out, ok = sample_columns_with_keys(ids, eligible, 2, rng.random(ids.shape))
         assert (out == EMPTY_ID).all() and not ok.any()
 
 
@@ -158,3 +158,31 @@ class TestRefineRound:
         refine_round(state, x, strat, rng, 4, rs)
         assert rs.rounds_run == 2
         assert len(rs.insertions) == 2
+
+    def test_insertions_are_entries_added_by_the_round(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((120, 6)).astype(np.float32)
+        state = KnnState(120, 5)
+        strat = get_strategy("atomic")
+        strat.update_leaf(state, x, np.arange(40))
+        start = state.ids.copy()
+        rs = RefineState()
+        inserted = refine_round(state, x, strat, rng, 5, rs)
+        assert inserted == int(_new_flags(state, start).sum())
+        assert rs.insertions == [inserted]
+
+    def test_sharded_round_matches_one_shard(self):
+        x = np.random.default_rng(5).standard_normal((160, 6)).astype(np.float32)
+        states = []
+        for n_jobs in (1, 3):
+            rng = np.random.default_rng(6)
+            state = KnnState(160, 5)
+            strat = get_strategy("baseline")
+            strat.update_leaf(state, x, np.arange(80))
+            rs = RefineState()
+            counts = [refine_round(state, x, strat, rng, 5, rs, n_jobs=n_jobs)
+                      for _ in range(2)]
+            states.append((state.ids.copy(), state.dists.copy(), counts))
+        np.testing.assert_array_equal(states[0][0], states[1][0])
+        np.testing.assert_array_equal(states[0][1], states[1][1])
+        assert states[0][2] == states[1][2]

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
-FAST = {"cluster_demo.py", "custom_simt_kernel.py", "gnn_edges_demo.py",
-        "quickstart.py", "serving_demo.py"}
+FAST = {"churn_demo.py", "cluster_demo.py", "custom_simt_kernel.py",
+        "gnn_edges_demo.py", "quickstart.py", "serving_demo.py",
+        "streaming_updates.py"}
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
